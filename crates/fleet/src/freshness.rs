@@ -459,7 +459,7 @@ fn run_cell(
         .map(|o| o.result.plt.as_secs_f64() * 1e3)
         .collect();
     onloads.sort_by(f64::total_cmp);
-    let fresh = store.freshness_stats();
+    let shard_stats = store.shard_stats();
     FreshnessCell {
         age_hours: setup.map_or(0, |(_, a)| a),
         policy: policy.label(),
@@ -470,8 +470,8 @@ fn run_cell(
         hint_hits: outcomes.iter().map(|o| o.hint_hits).sum(),
         hint_misses: outcomes.iter().map(|o| o.hint_misses).sum(),
         stale_served: outcomes.iter().map(|o| o.hint_stale).sum(),
-        stale_reads: fresh.iter().map(|f| f.stale).sum(),
-        evictions: fresh.iter().map(|f| f.evictions).sum(),
+        stale_reads: shard_stats.iter().map(|s| s.stale).sum(),
+        evictions: shard_stats.iter().map(|s| s.evictions).sum(),
         resolver_passes,
         refresh_passes,
         wasted_bytes: outcomes.iter().map(|o| o.result.wasted_bytes).sum(),

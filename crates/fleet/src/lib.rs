@@ -16,8 +16,8 @@
 //! * **Sharded hint store** — resolver output is filed in a
 //!   [`ShardedStore`] routed by [`vroom_intern::UrlId::shard`]; every load
 //!   reads its page's hint lists back out of the store, bumping the
-//!   per-shard logical access counters the report exposes as contention
-//!   figures.
+//!   per-shard logical access counters the report exposes. Shards are
+//!   counter partitions over one map, not separate locks.
 //! * **Per-origin connection reuse** — the fleet tracks which origins
 //!   already hold a warm server connection; later loads touching the same
 //!   origin count as reuses (a counter model: reuse does not alter the
@@ -693,24 +693,22 @@ impl FleetAccum {
         onloads.sort_by(f64::total_cmp);
 
         let sum = |f: &dyn Fn(&ClientOutcome) -> u64| outcomes.iter().map(f).sum::<u64>();
+        let shard_stats = store.shard_stats();
         // The freshness section only exists when the freshness machinery
         // was in play: a legacy run's report stays byte-identical.
         let freshness = (cfg.policy != EvictionPolicy::Never
             || cfg.span_hours > 0
             || cfg.learn_from_loads
             || clamped_from > 0)
-            .then(|| {
-                let fresh = store.freshness_stats();
-                FleetFreshness {
-                    policy: cfg.policy.label(),
-                    span_hours: cfg.span_hours,
-                    stale_reads: fresh.iter().map(|f| f.stale).sum(),
-                    stale_served: sum(&|o| o.hint_stale),
-                    evictions: fresh.iter().map(|f| f.evictions).sum(),
-                    refresh_passes: self.refresh_passes,
-                    observed_commits: self.observed_commits,
-                    arrival_span_clamped_from_ms: clamped_from,
-                }
+            .then(|| FleetFreshness {
+                policy: cfg.policy.label(),
+                span_hours: cfg.span_hours,
+                stale_reads: shard_stats.iter().map(|s| s.stale).sum(),
+                stale_served: sum(&|o| o.hint_stale),
+                evictions: shard_stats.iter().map(|s| s.evictions).sum(),
+                refresh_passes: self.refresh_passes,
+                observed_commits: self.observed_commits,
+                arrival_span_clamped_from_ms: clamped_from,
             });
         let report = FleetReport {
             clients: cfg.clients as u64,
@@ -720,7 +718,7 @@ impl FleetAccum {
             batches,
             resolver_passes: self.resolver_passes,
             store_entries: store.len() as u64,
-            shard_stats: store.shard_stats(),
+            shard_stats,
             hint_hits: sum(&|o| o.hint_hits),
             hint_misses: sum(&|o| o.hint_misses),
             origins_opened: self.origins_opened,
@@ -1082,9 +1080,9 @@ fn load_client(
             .map(|f| &page.resources[f].url),
     );
     // Resolve every document's shared id first, then fetch all hint lists
-    // in one batched store pass: one lock acquisition per touched shard
-    // instead of one per document. Only resolved ids reach the store, so
-    // the logical read/hit counters match the per-document form exactly.
+    // in one batched store read: one lock acquisition per load instead of
+    // one per document. Only resolved ids reach the store, so the logical
+    // read/hit counters match the per-document form exactly.
     let ids: Vec<Option<UrlId>> = htmls.iter().map(|&h| urls.lookup(h)).collect();
     let resolved: Vec<UrlId> = ids.iter().filter_map(|i| *i).collect();
     let mut fetched = store

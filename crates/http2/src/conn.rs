@@ -179,24 +179,9 @@ impl Connection {
         .encode(&mut self.out);
     }
 
-    /// Our announced settings.
-    pub fn local_settings(&self) -> &Settings {
-        &self.local
-    }
-
-    /// The peer's last announced settings.
-    pub fn peer_settings(&self) -> &Settings {
-        &self.peer
-    }
-
     /// Whether the peer has acknowledged our SETTINGS.
     pub fn settings_acked(&self) -> bool {
         self.local_settings_acked
-    }
-
-    /// Whether GOAWAY has been received.
-    pub fn is_closing(&self) -> bool {
-        self.goaway_received || self.goaway_sent
     }
 
     /// State of a stream, if known.
@@ -204,25 +189,9 @@ impl Connection {
         self.streams.get(&id).map(|s| s.state)
     }
 
-    /// Bytes currently sendable on a stream (min of stream and connection
-    /// windows).
-    pub fn send_capacity(&self, stream_id: u32) -> u32 {
-        let stream = self
-            .streams
-            .get(&stream_id)
-            .map(|s| s.send_window.sendable())
-            .unwrap_or(0);
-        stream.min(self.conn_send.sendable())
-    }
-
     /// Drain bytes to write to the transport.
     pub fn take_output(&mut self) -> Bytes {
         self.out.split().freeze()
-    }
-
-    /// Whether output bytes are pending.
-    pub fn wants_write(&self) -> bool {
-        !self.out.is_empty()
     }
 
     /// Pop the next protocol event.

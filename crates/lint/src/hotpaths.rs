@@ -72,7 +72,7 @@ impl Default for HotPathConfig {
                     "crates/fleet/src/lib.rs",
                     &["load_client", "run_fleet", "run_fleet_instrumented"],
                 ),
-                root("crates/server/src/batch.rs", &["commit_pass"]),
+                root("crates/server/src/batch.rs", &["commit_pass_at"]),
                 root(
                     "crates/server/src/wire.rs",
                     &["handle_request", "serve_connection"],

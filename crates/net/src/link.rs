@@ -123,11 +123,6 @@ impl SharedLink {
         (1.0, SimTime::MAX)
     }
 
-    /// Capacity in bits per second.
-    pub fn capacity_bps(&self) -> u64 {
-        self.bits_per_sec as u64
-    }
-
     /// Number of active transfers.
     pub fn active(&self) -> usize {
         self.transfers.len()

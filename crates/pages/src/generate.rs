@@ -243,11 +243,6 @@ impl PageGenerator {
         &self.domains[0]
     }
 
-    /// All domains the page pulls from (first-party first).
-    pub fn all_domains(&self) -> &[String] {
-        &self.domains
-    }
-
     /// Number of resources in every snapshot.
     pub fn len(&self) -> usize {
         self.nodes.len()

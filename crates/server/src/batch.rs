@@ -11,7 +11,7 @@
 //!   for one page at one quantized hour, producing a self-contained
 //!   [`PassOutput`] (plain URLs, no table handles). Pure, so a batch of
 //!   passes fans out over worker threads with no shared state.
-//! * [`commit_pass`] — the cheap half, sequential: intern the pass output
+//! * [`commit_pass_at`] — the cheap half, sequential: intern the pass output
 //!   into the server's shared [`UrlTable`] and file each HTML's hint list
 //!   in the shared [`HintStore`]. Commit order is the caller's
 //!   responsibility; committing in a deterministic order makes the store's
@@ -118,21 +118,11 @@ pub fn run_pass(
 }
 
 /// Commit a pass into the shared store: intern every URL into `urls` and
-/// file each HTML's hint list under its id. Returns the store keys written,
-/// in entry order. Call sequentially (the shared table needs `&mut`); the
-/// commit is cheap — interning and refcounted inserts only.
-///
-/// Entries are versioned at bucket 0 — the pre-freshness behavior, correct
-/// whenever the caller runs under [`EvictionPolicy::Never`]. Freshness-aware
-/// callers use [`commit_pass_at`].
-///
-/// [`EvictionPolicy::Never`]: crate::store::EvictionPolicy::Never
-pub fn commit_pass(output: &PassOutput, store: &dyn HintStore, urls: &mut UrlTable) -> Vec<UrlId> {
-    commit_pass_at(output, store, urls, 0)
-}
-
-/// [`commit_pass`], versioning every written entry with the hour bucket the
-/// pass was resolved at — the input to the store's eviction policies.
+/// file each HTML's hint list under its id, versioned with the hour bucket
+/// the pass was resolved at — the input to the store's eviction policies.
+/// Returns the store keys written, in entry order. Call sequentially (the
+/// shared table needs `&mut`); the commit is cheap — interning and
+/// refcounted inserts only.
 pub fn commit_pass_at(
     output: &PassOutput,
     store: &dyn HintStore,
@@ -141,8 +131,8 @@ pub fn commit_pass_at(
 ) -> Vec<UrlId> {
     // Intern in entry order (each HTML, then its targets) so id assignment
     // is byte-identical to a per-entry commit, then file every hint list in
-    // one batched store pass — one write-lock acquisition per touched shard
-    // instead of one per HTML.
+    // one batched store write — one lock acquisition per commit instead of
+    // one per HTML.
     let mut written = Vec::with_capacity(output.entries.len());
     let mut batch = Vec::with_capacity(output.entries.len());
     for (html, targets) in &output.entries {
@@ -167,7 +157,7 @@ pub fn commit_pass_at(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{ShardedStore, UnshardedStore};
+    use crate::store::{EvictionPolicy, ShardedStore, UnshardedStore};
     use vroom_pages::SiteProfile;
 
     fn site() -> PageGenerator {
@@ -201,24 +191,26 @@ mod tests {
         let flat = UnshardedStore::new();
         let mut urls_a = UrlTable::new();
         let mut urls_b = UrlTable::new();
-        let keys_a = commit_pass(&pass, &sharded, &mut urls_a);
-        let keys_b = commit_pass(&pass, &flat, &mut urls_b);
+        let keys_a = commit_pass_at(&pass, &sharded, &mut urls_a, 0);
+        let keys_b = commit_pass_at(&pass, &flat, &mut urls_b, 0);
         assert_eq!(
             keys_a, keys_b,
             "identical commit order assigns identical ids"
         );
         assert_eq!(urls_a, urls_b);
-        assert_eq!(sharded.snapshot(), flat.snapshot());
+        assert_eq!(sharded.snapshot_versioned(), flat.snapshot_versioned());
         assert_eq!(sharded.len(), pass.entries.len());
         // The root document's hints are retrievable through the store.
         let root = keys_a[0];
-        let got = sharded.get(root).expect("root entry");
+        let got = sharded
+            .get_fresh(root, 0, EvictionPolicy::Never)
+            .into_hints()
+            .expect("root entry");
         assert_eq!(got.len(), pass.entries[0].1.len());
     }
 
     #[test]
     fn commit_at_versions_entries_with_the_pass_bucket() {
-        use crate::store::EvictionPolicy;
         let g = site();
         let pass = run_pass(&g, 2003.0, DeviceClass::PhoneLarge, 9);
         let store = ShardedStore::new(4);
@@ -231,11 +223,11 @@ mod tests {
         let root = keys[0];
         assert!(store
             .get_fresh(root, 2004, EvictionPolicy::Ttl(1))
-            .hints()
+            .into_hints()
             .is_some());
         assert!(store
             .get_fresh(root, 2005, EvictionPolicy::Ttl(1))
-            .hints()
+            .into_hints()
             .is_none());
     }
 

@@ -162,7 +162,7 @@ mod tests {
         let keys = commit_pass_at(&obs, &store, &mut urls, 2000);
         let read = store.get_fresh(keys[0], 2000, EvictionPolicy::Ttl(1));
         assert_eq!(
-            read.hints().expect("root entry readable").len(),
+            read.into_hints().expect("root entry readable").len(),
             obs.entries[0].1.len()
         );
     }

@@ -8,39 +8,36 @@
 //! trait boundary between the serving path and the storage layout, with two
 //! implementations:
 //!
-//! * [`UnshardedStore`] — one map behind one lock. The semantic reference:
-//!   simple, obviously correct, and the model the sharded store must match
-//!   (the fleet proptests pin sharded == unsharded for arbitrary op
-//!   interleavings).
-//! * [`ShardedStore`] — `N` independent shards, each a `RwLock` over its
-//!   own map, routed by [`UrlId::shard`] (a pure function of the id value,
-//!   so routing is stable as the intern table grows and entries never
-//!   migrate). Readers on different shards never contend; writers block
-//!   only their own shard.
+//! * [`UnshardedStore`] — one map, one set of counters. The semantic
+//!   reference the fleet proptests compare against, per shard as well as in
+//!   total.
+//! * [`ShardedStore`] — one map behind one `RwLock`, plus `N` logical
+//!   shards. A shard is a counter partition only: [`UrlId::shard`] (a pure
+//!   function of the id value, stable as the intern table grows) picks which
+//!   shard's counters an operation bumps. One lock suffices because every
+//!   write — pass commits, learning commits, TTL sweeps — runs sequentially
+//!   between pool dispatches, and loads only ever read a frozen store.
 //!
 //! Every entry is versioned with the hour bucket it was resolved at, and
 //! reads classify entries through an [`EvictionPolicy`]:
 //!
-//! * [`EvictionPolicy::Never`] — age is ignored; byte-identical to the
-//!   pre-freshness store (the legacy `get`/`put` API is defined as the
-//!   versioned API at bucket 0 under `Never`).
+//! * [`EvictionPolicy::Never`] — age is ignored.
 //! * [`EvictionPolicy::Ttl`] — an entry older than the TTL is logically
 //!   evicted at read time: the read counts as stale and returns a miss.
 //!   Physical removal is a separate, sequential [`evict_resolved_before`]
-//!   sweep so the parallel load phase never mutates the maps.
+//!   sweep so the parallel load phase never mutates the map.
 //! * [`EvictionPolicy::RefreshOnMiss`] — a stale entry is still served
 //!   (counted as a hit *and* as stale) so the caller can schedule a
 //!   re-resolution admission while this load proceeds on old hints.
 //!
 //! [`evict_resolved_before`]: HintStore::evict_resolved_before
 //!
-//! Both implementations keep per-shard access counters (reads, hits,
-//! writes, entries) plus freshness counters (stale classifications,
-//! evictions). The counters are *logical*: every operation bumps its
-//! shard's counter exactly once, so totals are a pure function of the
-//! workload — identical at any worker count or scheduling — even though the
-//! increments themselves race. That property is what lets the fleet report
-//! shard "contention" figures while staying byte-deterministic.
+//! Both implementations keep six per-shard counters ([`ShardStats`]). The
+//! counters are *logical*: every operation bumps its shard's counter exactly
+//! once, so they are a pure function of the workload — identical at any
+//! worker count or scheduling — even though concurrent reads bump them in
+//! racing order. That property is what lets the fleet report per-shard
+//! figures while staying byte-deterministic.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,23 +46,17 @@ use std::sync::{Arc, Mutex, RwLock};
 use vroom_browser::config::Hint;
 use vroom_intern::UrlId;
 
-/// Logical access counters for one shard (the whole store, when unsharded).
+/// Logical counters for one shard (the whole store, when unsharded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// `get` calls routed to this shard.
+    /// Reads routed to this shard.
     pub reads: u64,
-    /// `get` calls that found an entry.
+    /// Reads the policy served an entry for (fresh or stale).
     pub hits: u64,
-    /// `put` calls routed to this shard.
+    /// Writes routed to this shard.
     pub writes: u64,
     /// Live entries.
     pub entries: u64,
-}
-
-/// Logical freshness counters for one shard, kept separate from
-/// [`ShardStats`] so the pre-freshness report formats stay byte-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FreshnessStats {
     /// Reads that classified their entry as stale under the caller's
     /// policy (whether it was then served or logically evicted).
     pub stale: u64,
@@ -132,15 +123,7 @@ pub enum FreshRead {
 }
 
 impl FreshRead {
-    /// The served hints, if any (fresh or stale).
-    pub fn hints(&self) -> Option<&Arc<Vec<Hint>>> {
-        match self {
-            FreshRead::Miss => None,
-            FreshRead::Fresh { hints, .. } | FreshRead::Stale { hints, .. } => Some(hints),
-        }
-    }
-
-    /// Consume into the served hints, if any.
+    /// Consume into the served hints, if any (fresh or stale).
     pub fn into_hints(self) -> Option<Arc<Vec<Hint>>> {
         match self {
             FreshRead::Miss => None,
@@ -157,168 +140,122 @@ impl FreshRead {
 /// One stored entry: the hint list plus the hour bucket it was resolved at.
 type Entry = (Arc<Vec<Hint>>, i64);
 
-/// Classify one looked-up entry under `policy` at `now_bucket`. Returns the
-/// read plus whether it counts as a hit and whether it counts as stale —
-/// the single definition both layouts share, so sharded == unsharded is an
-/// identity rather than a re-derivation.
-fn classify(
-    found: Option<&Entry>,
-    now_bucket: i64,
-    policy: EvictionPolicy,
-) -> (FreshRead, bool, bool) {
-    let Some((hints, bucket)) = found else {
-        return (FreshRead::Miss, false, false);
-    };
-    let age_hours = now_bucket.saturating_sub(*bucket).max(0) as u64;
-    match policy.stale_after() {
-        Some(limit) if age_hours > limit => match policy {
+/// The atomic tallies behind one [`ShardStats`] row. Atomic because the
+/// parallel load phase reads (and so counts) under a shared lock.
+#[derive(Debug, Default)]
+struct Counters {
+    reads: AtomicU64,
+    hits: AtomicU64,
+    writes: AtomicU64,
+    stale: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl Counters {
+    /// Classify one looked-up entry under `policy` at `now_bucket` and
+    /// count the read: one read, a hit when the policy serves the entry,
+    /// and a stale mark when it is past its window. The single definition
+    /// both layouts share, so sharded == unsharded is an identity rather
+    /// than a re-derivation.
+    fn read(&self, found: Option<&Entry>, now_bucket: i64, policy: EvictionPolicy) -> FreshRead {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        let Some((hints, bucket)) = found else {
+            return FreshRead::Miss;
+        };
+        let age_hours = now_bucket.saturating_sub(*bucket).max(0) as u64;
+        let stale = matches!(policy.stale_after(), Some(limit) if age_hours > limit);
+        if stale {
+            self.stale.fetch_add(1, Ordering::Relaxed);
+        }
+        if stale && matches!(policy, EvictionPolicy::Ttl(_)) {
             // Logical eviction: the read misses; the entry stays until the
             // next sequential sweep so reads never mutate the map.
-            EvictionPolicy::Ttl(_) => (FreshRead::Miss, false, true),
-            _ => (
-                FreshRead::Stale {
-                    hints: Arc::clone(hints),
-                    age_hours,
-                },
-                true,
-                true,
-            ),
-        },
-        _ => (
-            FreshRead::Fresh {
-                hints: Arc::clone(hints),
-                age_hours,
-            },
-            true,
-            false,
-        ),
+            return FreshRead::Miss;
+        }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        let hints = Arc::clone(hints);
+        if stale {
+            FreshRead::Stale { hints, age_hours }
+        } else {
+            FreshRead::Fresh { hints, age_hours }
+        }
+    }
+
+    fn stats(&self, entries: u64) -> ShardStats {
+        ShardStats {
+            reads: self.reads.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
+            entries,
+            stale: self.stale.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
     }
 }
 
 /// Shared dependency-hint storage, keyed by the interned URL of the HTML
 /// response that carries the hints.
 ///
-/// Values are `Arc`-shared: a `get` hands back a reference-counted handle,
+/// Values are `Arc`-shared: a read hands back a reference-counted handle,
 /// never a copy of the hint list, so concurrent readers share one
 /// allocation.
-///
-/// The legacy unversioned API (`get`/`put`/`get_many`/`put_many`) is
-/// defined in terms of the versioned one at bucket 0 under
-/// [`EvictionPolicy::Never`] — same counter bumps, same results.
 pub trait HintStore: Send + Sync {
-    /// The hints stored for `key`, if any. Counts one read (plus one hit on
-    /// success) against the key's shard.
-    fn get(&self, key: UrlId) -> Option<Arc<Vec<Hint>>> {
-        self.get_fresh(key, 0, EvictionPolicy::Never).into_hints()
-    }
-
-    /// Store (or replace) the hints for `key`. Counts one write against the
-    /// key's shard.
-    fn put(&self, key: UrlId, hints: Vec<Hint>) {
-        self.put_at(key, hints, 0);
-    }
-
-    /// The hints for each of `keys`, in input order. Logically identical to
-    /// one [`get`](Self::get) per key — same counter bumps, same results —
-    /// but a batching implementation takes each touched shard's lock once
-    /// for the whole slice instead of once per key.
-    fn get_many(&self, keys: &[UrlId]) -> Vec<Option<Arc<Vec<Hint>>>> {
-        self.get_fresh_many(keys, 0, EvictionPolicy::Never)
-            .into_iter()
-            .map(FreshRead::into_hints)
-            .collect()
-    }
-
-    /// Store every `(key, hints)` pair. Logically identical to one
-    /// [`put`](Self::put) per pair in order — same counters, and duplicate
-    /// keys resolve last-write-wins — with the same batched-locking
-    /// opportunity as [`get_many`](Self::get_many).
-    fn put_many(&self, entries: Vec<(UrlId, Vec<Hint>)>) {
-        self.put_many_at(entries, 0);
-    }
-
     /// Policy-aware read: the hints for `key` classified by age relative to
-    /// `now_bucket`. Counts one read; a hit only when the policy serves the
-    /// entry; one stale count when the entry is past its window.
-    fn get_fresh(&self, key: UrlId, now_bucket: i64, policy: EvictionPolicy) -> FreshRead;
+    /// `now_bucket`. Logically one-key [`get_fresh_many`](Self::get_fresh_many).
+    fn get_fresh(&self, key: UrlId, now_bucket: i64, policy: EvictionPolicy) -> FreshRead {
+        self.get_fresh_many(std::slice::from_ref(&key), now_bucket, policy)
+            .pop()
+            .unwrap_or(FreshRead::Miss)
+    }
 
-    /// Store (or replace) the hints for `key`, versioned with the hour
-    /// bucket they were resolved at. Counts one write.
-    fn put_at(&self, key: UrlId, hints: Vec<Hint>, bucket: i64);
-
-    /// Policy-aware batched read, in input order. Logically identical to
-    /// one [`get_fresh`](Self::get_fresh) per key.
+    /// Policy-aware batched read, in input order, under one lock
+    /// acquisition. Each key counts one read against its shard, a hit when
+    /// the policy serves the entry, and one stale mark when the entry is
+    /// past its window.
     fn get_fresh_many(
         &self,
         keys: &[UrlId],
         now_bucket: i64,
         policy: EvictionPolicy,
-    ) -> Vec<FreshRead> {
-        keys.iter()
-            .map(|&k| self.get_fresh(k, now_bucket, policy))
-            .collect()
-    }
+    ) -> Vec<FreshRead>;
 
-    /// Versioned batched write. Logically identical to one
-    /// [`put_at`](Self::put_at) per pair in order.
-    fn put_many_at(&self, entries: Vec<(UrlId, Vec<Hint>)>, bucket: i64) {
-        for (k, h) in entries {
-            self.put_at(k, h, bucket);
-        }
-    }
+    /// Store (or replace) every `(key, hints)` pair, versioned with the
+    /// hour bucket they were resolved at, under one lock acquisition. Each
+    /// pair counts one write against its key's shard; duplicate keys
+    /// resolve last-write-wins.
+    fn put_many_at(&self, entries: Vec<(UrlId, Vec<Hint>)>, bucket: i64);
 
     /// Physically remove every entry resolved before `min_bucket`,
     /// returning how many were removed. Call sequentially between batches
     /// (the Ttl sweep); reads never mutate, so this is the only path that
-    /// shrinks the maps.
+    /// shrinks the map.
     fn evict_resolved_before(&self, min_bucket: i64) -> u64;
 
-    /// Per-shard counters, in shard order (a single entry when unsharded).
+    /// Per-shard counters, in shard order (a single row when unsharded).
     fn shard_stats(&self) -> Vec<ShardStats>;
 
-    /// Per-shard freshness counters, parallel to
-    /// [`shard_stats`](Self::shard_stats).
-    fn freshness_stats(&self) -> Vec<FreshnessStats>;
-
-    /// The full contents, merged across shards into one ordered map — the
+    /// The full contents with each entry's resolution bucket — the
     /// canonical form the equivalence proptests compare.
-    fn snapshot(&self) -> BTreeMap<UrlId, Arc<Vec<Hint>>> {
-        self.snapshot_versioned()
-            .into_iter()
-            .map(|(k, (h, _))| (k, h))
-            .collect()
-    }
-
-    /// The full contents with each entry's resolution bucket.
-    fn snapshot_versioned(&self) -> BTreeMap<UrlId, (Arc<Vec<Hint>>, i64)>;
+    fn snapshot_versioned(&self) -> BTreeMap<UrlId, Entry>;
 
     /// Total live entries across every shard.
     fn len(&self) -> usize {
         self.shard_stats().iter().map(|s| s.entries as usize).sum()
     }
-
-    /// Whether the store holds no entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
-/// Recover a lock whether or not a holder panicked: the maps hold plain
+/// Recover a lock whether or not a holder panicked: the map holds plain
 /// data whose invariants every critical section re-establishes before
 /// unlocking, so a poisoned lock is safe to keep using.
 fn unpoison<G>(r: Result<G, std::sync::PoisonError<G>>) -> G {
     r.unwrap_or_else(|e| e.into_inner())
 }
 
-/// The single-lock reference implementation.
+/// The single-shard reference implementation.
 #[derive(Debug, Default)]
 pub struct UnshardedStore {
     map: Mutex<BTreeMap<UrlId, Entry>>,
-    reads: AtomicU64,
-    hits: AtomicU64,
-    writes: AtomicU64,
-    stale: AtomicU64,
-    evictions: AtomicU64,
+    counters: Counters,
 }
 
 impl UnshardedStore {
@@ -329,51 +266,21 @@ impl UnshardedStore {
 }
 
 impl HintStore for UnshardedStore {
-    fn get_fresh(&self, key: UrlId, now_bucket: i64, policy: EvictionPolicy) -> FreshRead {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        let (read, hit, stale) = {
-            let map = unpoison(self.map.lock());
-            classify(map.get(&key), now_bucket, policy)
-        };
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if stale {
-            self.stale.fetch_add(1, Ordering::Relaxed);
-        }
-        read
-    }
-
-    fn put_at(&self, key: UrlId, hints: Vec<Hint>, bucket: i64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        unpoison(self.map.lock()).insert(key, (Arc::new(hints), bucket));
-    }
-
     fn get_fresh_many(
         &self,
         keys: &[UrlId],
         now_bucket: i64,
         policy: EvictionPolicy,
     ) -> Vec<FreshRead> {
-        self.reads.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let mut out = Vec::with_capacity(keys.len());
-        let mut hits = 0u64;
-        let mut stale = 0u64;
         let map = unpoison(self.map.lock());
-        for k in keys {
-            let (read, hit, is_stale) = classify(map.get(k), now_bucket, policy);
-            hits += hit as u64;
-            stale += is_stale as u64;
-            out.push(read);
-        }
-        drop(map);
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.stale.fetch_add(stale, Ordering::Relaxed);
-        out
+        keys.iter()
+            .map(|k| self.counters.read(map.get(k), now_bucket, policy))
+            .collect()
     }
 
     fn put_many_at(&self, entries: Vec<(UrlId, Vec<Hint>)>, bucket: i64) {
-        self.writes
+        self.counters
+            .writes
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
         let mut map = unpoison(self.map.lock());
         for (k, h) in entries {
@@ -382,30 +289,19 @@ impl HintStore for UnshardedStore {
     }
 
     fn evict_resolved_before(&self, min_bucket: i64) -> u64 {
-        let removed = {
-            let mut map = unpoison(self.map.lock());
-            let before = map.len();
-            map.retain(|_, (_, b)| *b >= min_bucket);
-            (before - map.len()) as u64
-        };
-        self.evictions.fetch_add(removed, Ordering::Relaxed);
+        let mut map = unpoison(self.map.lock());
+        let before = map.len();
+        map.retain(|_, (_, b)| *b >= min_bucket);
+        let removed = (before - map.len()) as u64;
+        self.counters
+            .evictions
+            .fetch_add(removed, Ordering::Relaxed);
         removed
     }
 
     fn shard_stats(&self) -> Vec<ShardStats> {
-        vec![ShardStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            entries: unpoison(self.map.lock()).len() as u64,
-        }]
-    }
-
-    fn freshness_stats(&self) -> Vec<FreshnessStats> {
-        vec![FreshnessStats {
-            stale: self.stale.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }]
+        let entries = unpoison(self.map.lock()).len() as u64;
+        vec![self.counters.stats(entries)]
     }
 
     fn snapshot_versioned(&self) -> BTreeMap<UrlId, Entry> {
@@ -413,30 +309,20 @@ impl HintStore for UnshardedStore {
     }
 }
 
-/// One shard: an independent map plus its logical counters.
-#[derive(Debug, Default)]
-struct Shard {
-    map: RwLock<BTreeMap<UrlId, Entry>>,
-    reads: AtomicU64,
-    hits: AtomicU64,
-    writes: AtomicU64,
-    stale: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// The production layout: reads take a shard-local read lock, writes a
-/// shard-local write lock, and operations on different shards proceed
-/// fully in parallel.
+/// The production layout: one map behind one lock, with per-shard
+/// counters routed by [`UrlId::shard`].
 #[derive(Debug)]
 pub struct ShardedStore {
-    shards: Vec<Shard>,
+    map: RwLock<BTreeMap<UrlId, Entry>>,
+    shards: Vec<Counters>,
 }
 
 impl ShardedStore {
-    /// A store with `shards` shards (`shards == 0` is clamped to 1).
+    /// A store with `shards` logical shards (`shards == 0` is clamped to 1).
     pub fn new(shards: usize) -> Self {
         ShardedStore {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
+            map: RwLock::default(),
+            shards: (0..shards.max(1)).map(|_| Counters::default()).collect(),
         }
     }
 
@@ -444,154 +330,78 @@ impl ShardedStore {
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
-
-    /// The shard `key` routes to. `UrlId::shard` returns a value < len by
-    /// construction (proven by the routing proptest); the checked lookup
-    /// keeps the serving path panic-free regardless.
-    fn shard_of(&self, key: UrlId) -> Option<&Shard> {
-        self.shards.get(key.shard(self.shards.len()))
-    }
 }
 
+// Every method below routes a key with `self.shards.get(key.shard(n))`:
+// `UrlId::shard` returns a value < n by construction (proven by the routing
+// proptest), and the checked lookup keeps the serving path panic-free
+// regardless. `n` is read before the lock is taken, so nothing but map
+// lookups and counter bumps runs under the guard.
+
 impl HintStore for ShardedStore {
-    fn get_fresh(&self, key: UrlId, now_bucket: i64, policy: EvictionPolicy) -> FreshRead {
-        let Some(shard) = self.shard_of(key) else {
-            return FreshRead::Miss;
-        };
-        shard.reads.fetch_add(1, Ordering::Relaxed);
-        let (read, hit, stale) = {
-            let map = unpoison(shard.map.read());
-            classify(map.get(&key), now_bucket, policy)
-        };
-        if hit {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if stale {
-            shard.stale.fetch_add(1, Ordering::Relaxed);
-        }
-        read
-    }
-
-    fn put_at(&self, key: UrlId, hints: Vec<Hint>, bucket: i64) {
-        let Some(shard) = self.shard_of(key) else {
-            return;
-        };
-        shard.writes.fetch_add(1, Ordering::Relaxed);
-        unpoison(shard.map.write()).insert(key, (Arc::new(hints), bucket));
-    }
-
     fn get_fresh_many(
         &self,
         keys: &[UrlId],
         now_bucket: i64,
         policy: EvictionPolicy,
     ) -> Vec<FreshRead> {
-        let mut out = vec![FreshRead::Miss; keys.len()];
-        // Group input indices by shard so each touched shard's read lock is
-        // taken exactly once for the batch.
-        let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, k) in keys.iter().enumerate() {
-            by_shard
-                .entry(k.shard(self.shards.len()))
-                .or_default()
-                .push(i);
-        }
-        for (s, idxs) in by_shard {
-            let Some(shard) = self.shards.get(s) else {
-                continue;
-            };
-            shard.reads.fetch_add(idxs.len() as u64, Ordering::Relaxed);
-            let mut hits = 0u64;
-            let mut stale = 0u64;
-            // vroom-lint: allow(lock-in-hot-loop) -- one acquisition per touched shard per batch IS the hoisted form this rule asks for
-            let map = unpoison(shard.map.read());
-            for i in idxs {
-                let (read, hit, is_stale) = classify(map.get(&keys[i]), now_bucket, policy);
-                hits += hit as u64;
-                stale += is_stale as u64;
-                out[i] = read;
-            }
-            drop(map);
-            shard.hits.fetch_add(hits, Ordering::Relaxed);
-            shard.stale.fetch_add(stale, Ordering::Relaxed);
-        }
-        out
+        let n = self.shards.len();
+        let map = unpoison(self.map.read());
+        keys.iter()
+            .map(|&k| match self.shards.get(k.shard(n)) {
+                Some(c) => c.read(map.get(&k), now_bucket, policy),
+                None => FreshRead::Miss,
+            })
+            .collect()
     }
 
     fn put_many_at(&self, entries: Vec<(UrlId, Vec<Hint>)>, bucket: i64) {
-        // Group by shard, preserving entry order within each shard: a
-        // duplicate key routes to one shard, so last-write-wins matches the
-        // sequential per-key commit.
-        let mut by_shard: BTreeMap<usize, Vec<(UrlId, Vec<Hint>)>> = BTreeMap::new();
+        let n = self.shards.len();
+        let mut map = unpoison(self.map.write());
         for (k, h) in entries {
-            by_shard
-                .entry(k.shard(self.shards.len()))
-                .or_default()
-                .push((k, h));
-        }
-        for (s, batch) in by_shard {
-            let Some(shard) = self.shards.get(s) else {
-                continue;
-            };
-            shard
-                .writes
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            // vroom-lint: allow(lock-in-hot-loop) -- one acquisition per touched shard per batch IS the hoisted form this rule asks for
-            let mut map = unpoison(shard.map.write());
-            for (k, h) in batch {
-                map.insert(k, (Arc::new(h), bucket));
+            if let Some(c) = self.shards.get(k.shard(n)) {
+                c.writes.fetch_add(1, Ordering::Relaxed);
             }
+            map.insert(k, (Arc::new(h), bucket));
         }
     }
 
     fn evict_resolved_before(&self, min_bucket: i64) -> u64 {
-        let mut total = 0u64;
-        for shard in &self.shards {
-            let removed = {
-                // vroom-lint: allow(lock-in-hot-loop) -- sequential sweep: one write acquisition per shard, between batches
-                let mut map = unpoison(shard.map.write());
-                let before = map.len();
-                map.retain(|_, (_, b)| *b >= min_bucket);
-                (before - map.len()) as u64
-            };
-            shard.evictions.fetch_add(removed, Ordering::Relaxed);
-            total += removed;
-        }
-        total
+        let n = self.shards.len();
+        let mut removed = 0u64;
+        let mut map = unpoison(self.map.write());
+        map.retain(|&k, (_, b)| {
+            let keep = *b >= min_bucket;
+            if !keep {
+                removed += 1;
+                if let Some(c) = self.shards.get(k.shard(n)) {
+                    c.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            keep
+        });
+        removed
     }
 
     fn shard_stats(&self) -> Vec<ShardStats> {
+        let n = self.shards.len();
+        let mut entries = vec![0u64; n];
+        let map = unpoison(self.map.read());
+        for k in map.keys() {
+            if let Some(e) = entries.get_mut(k.shard(n)) {
+                *e += 1;
+            }
+        }
+        drop(map);
         self.shards
             .iter()
-            .map(|s| ShardStats {
-                reads: s.reads.load(Ordering::Relaxed),
-                hits: s.hits.load(Ordering::Relaxed),
-                writes: s.writes.load(Ordering::Relaxed),
-                entries: unpoison(s.map.read()).len() as u64,
-            })
-            .collect()
-    }
-
-    fn freshness_stats(&self) -> Vec<FreshnessStats> {
-        self.shards
-            .iter()
-            .map(|s| FreshnessStats {
-                stale: s.stale.load(Ordering::Relaxed),
-                evictions: s.evictions.load(Ordering::Relaxed),
-            })
+            .zip(entries)
+            .map(|(c, n)| c.stats(n))
             .collect()
     }
 
     fn snapshot_versioned(&self) -> BTreeMap<UrlId, Entry> {
-        let mut merged = BTreeMap::new();
-        for shard in &self.shards {
-            // Copy the shard (Arc bumps, not hint copies) under its read
-            // guard and merge after the guard drops: the merge work never
-            // runs inside the critical section.
-            let part = unpoison(shard.map.read()).clone();
-            merged.extend(part);
-        }
-        merged
+        unpoison(self.map.read()).clone()
     }
 }
 
@@ -611,6 +421,28 @@ mod tests {
         (0..n).map(|i| UrlId::from_index(i as usize)).collect()
     }
 
+    fn put(store: &dyn HintStore, key: UrlId, hints: Vec<Hint>, bucket: i64) {
+        store.put_many_at(vec![(key, hints)], bucket);
+    }
+
+    fn get(store: &dyn HintStore, key: UrlId) -> Option<Arc<Vec<Hint>>> {
+        store.get_fresh(key, 0, EvictionPolicy::Never).into_hints()
+    }
+
+    fn total(store: &dyn HintStore) -> ShardStats {
+        store
+            .shard_stats()
+            .iter()
+            .fold(ShardStats::default(), |acc, s| ShardStats {
+                reads: acc.reads + s.reads,
+                hits: acc.hits + s.hits,
+                writes: acc.writes + s.writes,
+                entries: acc.entries + s.entries,
+                stale: acc.stale + s.stale,
+                evictions: acc.evictions + s.evictions,
+            })
+    }
+
     #[test]
     fn put_get_roundtrip_both_layouts() {
         let stores: [Box<dyn HintStore>; 2] = [
@@ -619,16 +451,16 @@ mod tests {
         ];
         for store in stores {
             let k = UrlId::from_index(3);
-            assert!(store.get(k).is_none());
-            store.put(k, vec![hint(7, 0), hint(8, 2)]);
-            let got = store.get(k).expect("stored entry");
+            assert!(get(&*store, k).is_none());
+            put(&*store, k, vec![hint(7, 0), hint(8, 2)], 0);
+            let got = get(&*store, k).expect("stored entry");
             assert_eq!(got.len(), 2);
             assert_eq!(got[0], hint(7, 0));
             assert_eq!(store.len(), 1);
             // Replacement keeps one live entry.
-            store.put(k, vec![hint(9, 1)]);
+            put(&*store, k, vec![hint(9, 1)], 0);
             assert_eq!(store.len(), 1);
-            assert_eq!(store.get(k).expect("replaced")[0], hint(9, 1));
+            assert_eq!(get(&*store, k).expect("replaced")[0], hint(9, 1));
         }
     }
 
@@ -636,23 +468,21 @@ mod tests {
     fn counters_are_logical_access_counts() {
         let store = ShardedStore::new(8);
         for &k in keys(16).iter() {
-            store.put(k, vec![hint(0, 0)]);
+            put(&store, k, vec![hint(0, 0)], 0);
         }
         for &k in keys(32).iter() {
-            let _ = store.get(k); // 16 hits, 16 misses
+            let _ = get(&store, k); // 16 hits, 16 misses
         }
         let stats = store.shard_stats();
         assert_eq!(stats.len(), 8);
-        let total = |f: fn(&ShardStats) -> u64| stats.iter().map(f).sum::<u64>();
-        assert_eq!(total(|s| s.writes), 16);
-        assert_eq!(total(|s| s.reads), 32);
-        assert_eq!(total(|s| s.hits), 16);
-        assert_eq!(total(|s| s.entries), 16);
-        // The legacy API never classifies anything stale or evicts.
-        let fresh = store.freshness_stats();
-        assert_eq!(fresh.len(), 8);
-        assert_eq!(fresh.iter().map(|f| f.stale).sum::<u64>(), 0);
-        assert_eq!(fresh.iter().map(|f| f.evictions).sum::<u64>(), 0);
+        let t = total(&store);
+        assert_eq!(t.writes, 16);
+        assert_eq!(t.reads, 32);
+        assert_eq!(t.hits, 16);
+        assert_eq!(t.entries, 16);
+        // `Never` reads never classify anything stale, and nothing swept.
+        assert_eq!(t.stale, 0);
+        assert_eq!(t.evictions, 0);
         // Fibonacci routing actually spreads the dense low ids.
         let populated = stats.iter().filter(|s| s.entries > 0).count();
         assert!(populated >= 4, "16 keys landed on only {populated} shards");
@@ -664,10 +494,9 @@ mod tests {
         let reference = UnshardedStore::new();
         for &k in keys(20).iter() {
             let hints = vec![hint(k.index() as u32, (k.index() % 3) as u8)];
-            sharded.put(k, hints.clone());
-            reference.put(k, hints);
+            put(&sharded, k, hints.clone(), 0);
+            put(&reference, k, hints, 0);
         }
-        assert_eq!(sharded.snapshot(), reference.snapshot());
         assert_eq!(sharded.snapshot_versioned(), reference.snapshot_versioned());
     }
 
@@ -675,7 +504,7 @@ mod tests {
     fn zero_shards_clamps_to_one() {
         let store = ShardedStore::new(0);
         assert_eq!(store.shard_count(), 1);
-        store.put(UrlId::from_index(0), vec![hint(1, 0)]);
+        put(&store, UrlId::from_index(0), vec![hint(1, 0)], 0);
         assert_eq!(store.len(), 1);
     }
 
@@ -683,9 +512,9 @@ mod tests {
     fn shared_value_is_refcounted_not_copied() {
         let store = ShardedStore::new(2);
         let k = UrlId::from_index(1);
-        store.put(k, vec![hint(2, 0)]);
-        let a = store.get(k).expect("entry");
-        let b = store.get(k).expect("entry");
+        put(&store, k, vec![hint(2, 0)], 0);
+        let a = get(&store, k).expect("entry");
+        let b = get(&store, k).expect("entry");
         assert!(Arc::ptr_eq(&a, &b), "readers share one allocation");
     }
 
@@ -696,7 +525,7 @@ mod tests {
             Box::new(ShardedStore::new(4)),
         ] {
             let k = UrlId::from_index(5);
-            store.put_at(k, vec![hint(1, 0)], 2000);
+            put(&*store, k, vec![hint(1, 0)], 2000);
             // Within the window: fresh, with the age reported.
             match store.get_fresh(k, 2001, EvictionPolicy::Ttl(1)) {
                 FreshRead::Fresh { age_hours, .. } => assert_eq!(age_hours, 1),
@@ -712,16 +541,15 @@ mod tests {
                 FreshRead::Fresh { age_hours, .. } => assert_eq!(age_hours, 7000),
                 other => panic!("expected fresh, got {other:?}"),
             }
-            let stats = store.shard_stats();
-            let fresh = store.freshness_stats();
-            assert_eq!(stats.iter().map(|s| s.reads).sum::<u64>(), 3);
-            assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), 2);
-            assert_eq!(fresh.iter().map(|f| f.stale).sum::<u64>(), 1);
+            let t = total(&*store);
+            assert_eq!(t.reads, 3);
+            assert_eq!(t.hits, 2);
+            assert_eq!(t.stale, 1);
             // Logical eviction does not shrink the map; the sweep does.
             assert_eq!(store.len(), 1);
             assert_eq!(store.evict_resolved_before(2001), 1);
             assert_eq!(store.len(), 0);
-            assert_eq!(fresh_total(&*store).evictions, 1);
+            assert_eq!(total(&*store).evictions, 1);
         }
     }
 
@@ -732,7 +560,7 @@ mod tests {
             Box::new(ShardedStore::new(4)),
         ] {
             let k = UrlId::from_index(9);
-            store.put_at(k, vec![hint(3, 1)], 100);
+            put(&*store, k, vec![hint(3, 1)], 100);
             let read = store.get_fresh(k, 105, EvictionPolicy::RefreshOnMiss(2));
             match &read {
                 FreshRead::Stale { hints, age_hours } => {
@@ -743,11 +571,11 @@ mod tests {
             }
             assert!(read.is_stale());
             // Stale serves still count as hits — the load got its hints.
-            let stats = store.shard_stats();
-            assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), 1);
-            assert_eq!(fresh_total(&*store).stale, 1);
+            let t = total(&*store);
+            assert_eq!(t.hits, 1);
+            assert_eq!(t.stale, 1);
             // Re-resolving at the current bucket makes it fresh again.
-            store.put_at(k, vec![hint(4, 0)], 105);
+            put(&*store, k, vec![hint(4, 0)], 105);
             assert!(!store
                 .get_fresh(k, 105, EvictionPolicy::RefreshOnMiss(2))
                 .is_stale());
@@ -757,9 +585,9 @@ mod tests {
     #[test]
     fn eviction_sweep_only_removes_older_entries() {
         let store = ShardedStore::new(3);
-        store.put_at(UrlId::from_index(0), vec![hint(1, 0)], 10);
-        store.put_at(UrlId::from_index(1), vec![hint(2, 0)], 12);
-        store.put_at(UrlId::from_index(2), vec![hint(3, 0)], 14);
+        store.put_many_at(vec![(UrlId::from_index(0), vec![hint(1, 0)])], 10);
+        store.put_many_at(vec![(UrlId::from_index(1), vec![hint(2, 0)])], 12);
+        store.put_many_at(vec![(UrlId::from_index(2), vec![hint(3, 0)])], 14);
         assert_eq!(store.evict_resolved_before(12), 1);
         assert_eq!(store.len(), 2);
         assert_eq!(store.evict_resolved_before(12), 0, "sweep is idempotent");
@@ -776,8 +604,8 @@ mod tests {
         let sharded = ShardedStore::new(4);
         let reference = UnshardedStore::new();
         for (i, &k) in keys(12).iter().enumerate() {
-            sharded.put_at(k, vec![hint(i as u32, 0)], 2000 + i as i64 % 3);
-            reference.put_at(k, vec![hint(i as u32, 0)], 2000 + i as i64 % 3);
+            put(&sharded, k, vec![hint(i as u32, 0)], 2000 + i as i64 % 3);
+            put(&reference, k, vec![hint(i as u32, 0)], 2000 + i as i64 % 3);
         }
         let probe = keys(16);
         for policy in [
@@ -794,19 +622,6 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(b, c);
         }
-        assert_eq!(
-            fresh_total(&sharded).stale,
-            fresh_total(&reference).stale / 2
-        );
-    }
-
-    fn fresh_total(store: &dyn HintStore) -> FreshnessStats {
-        store
-            .freshness_stats()
-            .iter()
-            .fold(FreshnessStats::default(), |acc, f| FreshnessStats {
-                stale: acc.stale + f.stale,
-                evictions: acc.evictions + f.evictions,
-            })
+        assert_eq!(total(&sharded).stale, total(&reference).stale / 2);
     }
 }

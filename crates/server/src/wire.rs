@@ -423,7 +423,7 @@ pub struct WireClient {
     stream: TcpStream,
     conn: Connection,
     streams: BTreeMap<u32, StreamAcc>,
-    clock: Arc<dyn WireClock>,
+    clock: MonotonicClock,
     /// Per-request retry policy applied when a stream is reset.
     retry: RetryBudget,
     /// GET attempts per URL, counted against the budget.
@@ -443,18 +443,12 @@ impl WireClient {
             stream,
             conn: Connection::client(Settings::vroom_client()),
             streams: BTreeMap::new(),
-            clock: Arc::new(MonotonicClock),
+            clock: MonotonicClock,
             retry: RetryBudget::standard(),
             attempts: BTreeMap::new(),
             retry_queue: Vec::new(),
             resets_seen: 0,
         })
-    }
-
-    /// Replace the deadline clock (tests can inject a fake).
-    pub fn with_clock(mut self, clock: Arc<dyn WireClock>) -> Self {
-        self.clock = clock;
-        self
     }
 
     /// Replace the retry budget.

@@ -15,12 +15,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Actor, Context, Engine, RunOutcome};
 pub use queue::{EventId, EventQueue};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};
